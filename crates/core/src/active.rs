@@ -25,7 +25,7 @@
 //! [`SimWorld::depart_peer`]: crate::world::SimWorld::depart_peer
 //! [`SimWorld::rejoin_peer`]: crate::world::SimWorld::rejoin_peer
 
-use collabsim_gametheory::behavior::BehaviorType;
+use crate::behavior::BehaviorType;
 use collabsim_netsim::peer::PeerRegistry;
 use serde::{Deserialize, Serialize};
 

@@ -8,7 +8,7 @@
 //! engine does not branch on behaviour types.
 
 use crate::action::CollabAction;
-use collabsim_gametheory::behavior::BehaviorType;
+use crate::behavior::BehaviorType;
 use collabsim_rl::boltzmann::BoltzmannPolicy;
 use collabsim_rl::qlearning::{QLearningAgent, QLearningParams};
 use collabsim_rl::space::{ActionSpace, StateSpace};

@@ -21,7 +21,7 @@
 //! random churn/adversary traces.
 
 use crate::action::CollabAction;
-use collabsim_gametheory::behavior::BehaviorType;
+use crate::behavior::BehaviorType;
 use collabsim_rl::qlearning::QLearningParams;
 use collabsim_rl::space::StateSpace;
 

@@ -8,10 +8,10 @@
 //! behaviour-mix sweep convention of Section IV-B.
 
 use crate::adversary::AdversarySpec;
+use crate::behavior::BehaviorMix;
 use crate::incentive::IncentiveScheme;
 use crate::spec::SpecError;
-use collabsim_gametheory::behavior::BehaviorMix;
-use collabsim_gametheory::utility::UtilityModel;
+use crate::utility::UtilityModel;
 use collabsim_netsim::churn::ChurnModel;
 use collabsim_netsim::fault::LinkModel;
 use collabsim_reputation::contribution::ContributionParams;
@@ -571,7 +571,7 @@ impl SimulationConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collabsim_gametheory::behavior::BehaviorType;
+    use crate::behavior::BehaviorType;
 
     #[test]
     fn defaults_match_the_paper() {

@@ -24,6 +24,7 @@
 //! plug in through [`Simulation::with_pipeline`].
 
 use crate::adversary::AdversaryRegistry;
+use crate::behavior::BehaviorType;
 use crate::config::SimulationConfig;
 use crate::observer::{StepObserver, WorldView};
 use crate::pipeline::{PhaseRegistry, PhaseTimings, StepContext, StepPipeline};
@@ -31,7 +32,6 @@ use crate::report::SimulationReport;
 use crate::snapshot::{RunStore, Snapshot, SnapshotError};
 use crate::spec::{ScenarioSpec, SpecError};
 use crate::world::SimWorld;
-use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_netsim::article::ArticleRegistry;
 use collabsim_reputation::propagation::GlobalReputation;
 use collabsim_reputation::sharded::ShardedLedger;
@@ -386,9 +386,9 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::behavior::BehaviorMix;
     use crate::config::PhaseConfig;
     use crate::incentive::IncentiveScheme;
-    use collabsim_gametheory::behavior::BehaviorMix;
     use collabsim_reputation::propagation::PropagationScheme;
 
     fn quick_config() -> SimulationConfig {

@@ -22,13 +22,13 @@
 //!    `collabsim-bench` binaries.
 
 use crate::adversary::AdversaryRegistry;
+use crate::behavior::{BehaviorMix, BehaviorType};
 use crate::config::SimulationConfig;
 use crate::engine::Simulation;
 use crate::incentive::IncentiveScheme;
 use crate::pipeline::PhaseRegistry;
 use crate::report::SimulationReport;
 use crate::spec::{ScenarioSpec, SpecError};
-use collabsim_gametheory::behavior::{BehaviorMix, BehaviorType};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -14,11 +14,11 @@
 //! * rational peers learning with the tabular Q-learning of
 //!   [`collabsim_rl`] (Boltzmann exploration, the paper's two-phase
 //!   temperature schedule), while altruistic and irrational peers follow the
-//!   fixed behaviours of [`collabsim_gametheory::behavior`],
+//!   fixed behaviours of [`behavior`],
 //! * service differentiation applied (or not, for the baseline) when
 //!   bandwidth is allocated, votes are weighted and edits are admitted,
-//! * the utility functions `U_S`/`U_E` of
-//!   [`collabsim_gametheory::utility`] providing the per-step rewards.
+//! * the utility functions `U_S`/`U_E` of [`utility`] providing the
+//!   per-step rewards.
 //!
 //! The step loop itself is a composable pipeline: every sub-phase of a
 //! simulation step (selection, sharing, downloads, editing/voting, utility,
@@ -49,6 +49,7 @@ pub mod active;
 pub mod adversary;
 pub mod agent;
 pub mod agent_table;
+pub mod behavior;
 pub mod config;
 pub mod engine;
 pub mod experiment;
@@ -61,6 +62,7 @@ pub mod results;
 pub mod snapshot;
 pub mod spec;
 pub mod threads;
+pub mod utility;
 pub mod world;
 
 pub use action::{CollabAction, EditBehavior, ShareLevel, ACTION_DIMS};
@@ -71,6 +73,7 @@ pub use adversary::{
 };
 pub use agent::{AgentState, CollabAgent};
 pub use agent_table::{AgentShardMut, AgentTable};
+pub use behavior::{BehaviorMix, BehaviorType};
 pub use config::{PhaseConfig, PropagationConfig, ReputationSource, SimulationConfig};
 pub use engine::Simulation;
 pub use experiment::{ScenarioGrid, ScenarioRunner};
@@ -78,15 +81,14 @@ pub use incentive::IncentiveScheme;
 pub use invariants::{
     ActiveSetObserver, ArenaBoundObserver, ConservationObserver, ReputationBoundsObserver,
 };
-pub use observer::{StepObserver, TimingObserver, WorldView};
+pub use observer::{StepObserver, WorldView};
 pub use pipeline::{PhaseRegistry, PhaseTimings, StepContext, StepPhase, StepPipeline};
 pub use report::{BehaviorBreakdown, SimulationReport};
 pub use snapshot::{DirStore, MemStore, RunStore, Snapshot, SnapshotError, WorldState};
 pub use spec::{apply_defence, ScenarioSpec, ScenarioSpecBuilder, SpecError};
+pub use utility::UtilityModel;
 pub use world::{AccumulatorTable, ChurnStats, NetStats, PeerAccumulator, SimWorld, UploadMatrix};
 
 // Re-export the pieces downstream users constantly need alongside the core
 // API so examples only import one crate.
-pub use collabsim_gametheory::behavior::{BehaviorMix, BehaviorType};
-pub use collabsim_gametheory::utility::UtilityModel;
 pub use collabsim_reputation::function::LogisticReputation;

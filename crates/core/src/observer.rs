@@ -6,18 +6,18 @@
 //! [`LedgerView`]). Observers
 //! are how benches and tests collect statistics the fixed
 //! [`SimulationReport`] does not carry — per-step time series, churn
-//! dynamics, phase timings — without every new metric growing the report
-//! struct (which is pinned bit-for-bit by the golden test).
+//! dynamics — without every new metric growing the report struct (which is
+//! pinned bit-for-bit by the golden test).
 //!
 //! Observation is passive by construction: callbacks get `&`-references
 //! only, so attaching any number of observers can never change simulation
-//! results. The built-in [`TimingObserver`] subsumes the older
-//! [`PhaseTimings`] instrumentation through this interface.
+//! results. Per-phase wall-clock totals come from the engine itself
+//! ([`Simulation::enable_phase_timings`](crate::Simulation::enable_phase_timings)).
 
-use crate::pipeline::{PhaseTimings, StepContext};
+use crate::behavior::BehaviorType;
+use crate::pipeline::StepContext;
 use crate::report::SimulationReport;
 use crate::world::{ChurnStats, SimWorld};
-use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_netsim::article::ArticleRegistry;
 use collabsim_netsim::peer::PeerRegistry;
 use collabsim_reputation::sharded::LedgerView;
@@ -145,74 +145,6 @@ pub trait StepObserver: Send + std::any::Any {
     fn on_run_end(&mut self, _world: WorldView<'_>, _report: &SimulationReport) {}
 }
 
-/// An observer accumulating per-phase wall-clock totals — the
-/// [`PhaseTimings`] instrumentation expressed through the observer
-/// interface, for callers that want timings without touching the engine's
-/// built-in context instrumentation.
-#[derive(Debug, Default)]
-pub struct TimingObserver {
-    timings: PhaseTimings,
-    /// Interned copies of non-builtin phase names (`PhaseTimings` keys by
-    /// `&'static str`, so custom names are leaked — exactly once each,
-    /// through this memo).
-    interned: Vec<&'static str>,
-}
-
-impl TimingObserver {
-    /// A fresh (enabled) timing observer.
-    pub fn new() -> Self {
-        let mut timings = PhaseTimings::default();
-        timings.enable();
-        Self {
-            timings,
-            interned: Vec::new(),
-        }
-    }
-
-    /// The accumulated totals.
-    pub fn timings(&self) -> &PhaseTimings {
-        &self.timings
-    }
-}
-
-impl StepObserver for TimingObserver {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn on_phase(
-        &mut self,
-        phase: &str,
-        elapsed: Duration,
-        _world: WorldView<'_>,
-        _ctx: &StepContext,
-    ) {
-        // PhaseTimings keys entries by `&'static str`; the observer
-        // interface hands out `&str`, so built-in names map to their
-        // static literals and custom names are leaked once each (the memo
-        // makes repeat calls hit the interned copy, not a fresh leak).
-        let name: &'static str = match phase {
-            "selection" => "selection",
-            "sharing" => "sharing",
-            "download" => "download",
-            "edit-vote" => "edit-vote",
-            "utility" => "utility",
-            "learning" => "learning",
-            "propagation" => "propagation",
-            "churn" => "churn",
-            other => match self.interned.iter().find(|n| **n == other) {
-                Some(&interned) => interned,
-                None => {
-                    let interned: &'static str = Box::leak(other.to_string().into_boxed_str());
-                    self.interned.push(interned);
-                    interned
-                }
-            },
-        };
-        self.timings.record(name, elapsed);
-    }
-}
-
 /// An observer recording a per-step churn/population time series — the
 /// data behind the re-entry reputation-persistence statistics of the churn
 /// bench.
@@ -336,33 +268,12 @@ mod tests {
         let baseline = Simulation::new(quick_config()).run();
         let mut observed = Simulation::new(quick_config());
         observed.add_observer(CountingObserver::default());
-        observed.add_observer(TimingObserver::new());
         observed.add_observer(ChurnTimelineObserver::new());
         assert_eq!(
             observed.run(),
             baseline,
             "observers must not change results"
         );
-    }
-
-    #[test]
-    fn timing_observer_subsumes_phase_timings() {
-        let mut sim = Simulation::new(quick_config());
-        sim.add_observer(TimingObserver::new());
-        sim.run();
-        let timings: &TimingObserver = sim.observer(0).expect("attached above");
-        let names: Vec<&str> = timings
-            .timings()
-            .totals()
-            .iter()
-            .map(|&(n, _, _)| n)
-            .collect();
-        assert_eq!(names, sim.pipeline().phase_names());
-        assert!(timings
-            .timings()
-            .totals()
-            .iter()
-            .all(|&(_, _, count)| count == 50));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use super::{StepContext, StepPhase};
 use crate::action::CollabAction;
 use crate::agent::AgentState;
+use crate::behavior::BehaviorType;
 use crate::world::SimWorld;
-use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_rl::boltzmann::{boltzmann_distribution_into, sample_probs};
 
 /// Every *online* agent observes its state (reputation bucket) and picks

@@ -2,8 +2,8 @@
 
 use super::{worker_bounds, StepContext, StepPhase};
 use crate::action::{CollabAction, EditBehavior};
+use crate::utility::{EditingObservation, SharingObservation, UtilityModel};
 use crate::world::{AccumulatorShardMut, SimWorld};
-use collabsim_gametheory::utility::{EditingObservation, SharingObservation, UtilityModel};
 
 /// Computes every *online* peer's per-step reward `U = U_S + U_E` from the
 /// step's observations, and accumulates the evaluation-phase measurements

@@ -16,7 +16,7 @@
 //! [`SimWorld`](crate::world::SimWorld) after the run, e.g.
 //! [`ChurnStats`](crate::world::ChurnStats)) instead.
 
-use collabsim_gametheory::behavior::BehaviorType;
+use crate::behavior::BehaviorType;
 use collabsim_netsim::article::EditOutcomeCounts;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

@@ -5,10 +5,10 @@
 //! formatting so the binaries, the examples and EXPERIMENTS.md all show the
 //! same columns.
 
+use crate::behavior::BehaviorType;
 use crate::experiment::LabelledReport;
 use crate::report::SimulationReport;
 use crate::world::ChurnStats;
-use collabsim_gametheory::behavior::BehaviorType;
 use std::fmt::Write as _;
 
 /// Renders a sequence of labelled reports as a CSV document with one row per

@@ -33,11 +33,11 @@ pub use store::{
 };
 
 use crate::adversary::{AttackStats, PeerPolicyState, PolicyState};
+use crate::behavior::BehaviorType;
 use crate::spec::ScenarioSpec;
 use crate::world::{AccumulatorTable, ChurnStats, NetStats, SimWorld, UploadMatrix};
 use crate::ActiveSets;
 use codec::{fnv1a64, Reader, Writer};
-use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_netsim::article::{
     Article, ArticleId, ArticleRegistry, Edit, EditId, EditKind, EditOutcomeCounts, EditStatus,
 };
@@ -1158,22 +1158,14 @@ impl Snapshot {
             state,
         }
     }
-
-    /// The content-derived store key of this snapshot:
-    /// `step<step>-<hash>` — lexicographic order is chronological order,
-    /// and the hash makes distinct states at the same step distinct keys.
-    pub fn key(&self) -> String {
-        let bytes = self.encode();
-        format!("step{:010}-{:016x}", self.state.step, fnv1a64(&bytes))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::behavior::BehaviorMix;
     use crate::config::{PhaseConfig, SimulationConfig};
     use crate::engine::Simulation;
-    use collabsim_gametheory::behavior::BehaviorMix;
 
     fn quick_spec() -> ScenarioSpec {
         let config = SimulationConfig {

@@ -10,6 +10,7 @@
 //! never leaves a half-snapshot under a valid name; every read re-verifies
 //! the frame's magic, version and content hash.
 
+use super::codec::fnv1a64;
 use super::{Snapshot, SnapshotError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -41,6 +42,15 @@ pub trait RunStore {
     }
 }
 
+/// The content-derived store key of a snapshot at `step` whose framed
+/// encoding is `encoded`: `step<step>-<hash>` — lexicographic order is
+/// chronological order, and the hash makes distinct states at the same
+/// step distinct keys. Taking the bytes `put` already holds keeps a store
+/// write to one encode pass.
+fn store_key(step: u64, encoded: &[u8]) -> String {
+    format!("step{step:010}-{:016x}", fnv1a64(encoded))
+}
+
 /// In-memory [`RunStore`]: encoded snapshots in a sorted map.
 #[derive(Debug, Clone, Default)]
 pub struct MemStore {
@@ -67,7 +77,7 @@ impl MemStore {
 impl RunStore for MemStore {
     fn put(&mut self, snapshot: &Snapshot) -> Result<String, SnapshotError> {
         let bytes = snapshot.encode();
-        let key = snapshot.key();
+        let key = store_key(snapshot.step(), &bytes);
         self.entries.insert(key.clone(), bytes);
         Ok(key)
     }
@@ -117,7 +127,7 @@ impl DirStore {
 impl RunStore for DirStore {
     fn put(&mut self, snapshot: &Snapshot) -> Result<String, SnapshotError> {
         let bytes = snapshot.encode();
-        let key = snapshot.key();
+        let key = store_key(snapshot.step(), &bytes);
         let path = self.path_of(&key);
         let tmp = self.dir.join(format!(".{key}.tmp"));
         std::fs::write(&tmp, &bytes).map_err(|e| io_err("writing", &tmp, e))?;
@@ -245,6 +255,23 @@ mod tests {
             store.get("step0000000000-0000000000000000"),
             Err(SnapshotError::NotFound(_))
         ));
+    }
+
+    #[test]
+    fn put_keys_by_step_and_hash_of_the_encoding() {
+        let snapshot = snapshot_at(4);
+        let expected = format!(
+            "step{:010}-{:016x}",
+            snapshot.step(),
+            fnv1a64(&snapshot.encode())
+        );
+        assert_eq!(MemStore::new().put(&snapshot).unwrap(), expected);
+        let dir = temp_dir("key");
+        assert_eq!(
+            DirStore::open(&dir).unwrap().put(&snapshot).unwrap(),
+            expected
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -41,12 +41,12 @@
 //! ```
 
 use crate::adversary::AdversarySpec;
+use crate::behavior::BehaviorMix;
 use crate::config::{
     DownloadRate, PhaseConfig, PropagationConfig, ReputationSource, SimulationConfig,
 };
 use crate::incentive::IncentiveScheme;
 use crate::pipeline::{PhaseRegistry, StepPipeline};
-use collabsim_gametheory::behavior::BehaviorMix;
 use collabsim_netsim::churn::ChurnModel;
 use collabsim_netsim::fault::{LinkModel, LinkModelError};
 use collabsim_reputation::propagation::PropagationScheme;

@@ -12,9 +12,9 @@ use crate::active::ActiveSets;
 use crate::adversary::{AdversaryRegistry, AdversaryRoster};
 use crate::agent::AgentState;
 use crate::agent_table::AgentTable;
+use crate::behavior::BehaviorType;
 use crate::config::{ReputationSource, SimulationConfig};
 use crate::report::{BehaviorBreakdown, SimulationReport};
-use collabsim_gametheory::behavior::BehaviorType;
 use collabsim_netsim::article::{ArticleId, ArticleRegistry, EditOutcomeCounts};
 use collabsim_netsim::bandwidth::BandwidthAllocator;
 use collabsim_netsim::clock::SimClock;

@@ -1,10 +1,8 @@
 //! Action-selection policies.
 //!
 //! The simulation's rational agents use the Boltzmann policy
-//! ([`crate::boltzmann::BoltzmannPolicy`]); the additional policies here
-//! (greedy, ε-greedy, uniform-random) are used as ablation baselines and in
-//! tests, and give downstream users the standard menu of tabular
-//! exploration strategies.
+//! ([`crate::boltzmann::BoltzmannPolicy`]); the greedy policy here is its
+//! zero-exploration counterpart.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,11 +17,6 @@ pub trait Policy: Send + Sync {
 
     /// Short name used in logs and ablation tables.
     fn name(&self) -> &'static str;
-}
-
-/// Draws a uniform `f64` in `[0, 1)` from a raw RNG.
-pub(crate) fn uniform_f64(rng: &mut dyn rand::RngCore) -> f64 {
-    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Always selects the greedy (highest-Q) action, breaking ties towards the
@@ -50,66 +43,10 @@ impl Policy for GreedyPolicy {
     }
 }
 
-/// Selects uniformly at random, ignoring Q-values entirely.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct UniformRandomPolicy;
-
-impl Policy for UniformRandomPolicy {
-    fn select_action(&self, q_row: &[f64], rng: &mut dyn rand::RngCore) -> usize {
-        assert!(!q_row.is_empty(), "cannot select from an empty Q-row");
-        let n = q_row.len() as u64;
-        (rng.next_u64() % n) as usize
-    }
-
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-}
-
-/// ε-greedy: with probability `epsilon` selects uniformly at random,
-/// otherwise greedily.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EpsilonGreedyPolicy {
-    /// Exploration probability.
-    pub epsilon: f64,
-}
-
-impl EpsilonGreedyPolicy {
-    /// Creates an ε-greedy policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon` lies outside `[0, 1]`.
-    pub fn new(epsilon: f64) -> Self {
-        assert!((0.0..=1.0).contains(&epsilon), "epsilon must lie in [0, 1]");
-        Self { epsilon }
-    }
-}
-
-impl Default for EpsilonGreedyPolicy {
-    fn default() -> Self {
-        Self::new(0.1)
-    }
-}
-
-impl Policy for EpsilonGreedyPolicy {
-    fn select_action(&self, q_row: &[f64], rng: &mut dyn rand::RngCore) -> usize {
-        assert!(!q_row.is_empty(), "cannot select from an empty Q-row");
-        if uniform_f64(rng) < self.epsilon {
-            UniformRandomPolicy.select_action(q_row, rng)
-        } else {
-            GreedyPolicy.select_action(q_row, rng)
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "epsilon-greedy"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::boltzmann::BoltzmannPolicy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -130,68 +67,8 @@ mod tests {
     }
 
     #[test]
-    fn uniform_covers_all_actions() {
-        let q = [0.0; 4];
-        let mut r = rng();
-        let mut seen = [false; 4];
-        for _ in 0..200 {
-            seen[UniformRandomPolicy.select_action(&q, &mut r)] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn epsilon_zero_is_pure_greedy() {
-        let policy = EpsilonGreedyPolicy::new(0.0);
-        let q = [0.0, 1.0, 0.5];
-        let mut r = rng();
-        for _ in 0..100 {
-            assert_eq!(policy.select_action(&q, &mut r), 1);
-        }
-    }
-
-    #[test]
-    fn epsilon_one_is_pure_random() {
-        let policy = EpsilonGreedyPolicy::new(1.0);
-        let q = [0.0, 100.0, 0.0];
-        let mut r = rng();
-        let non_greedy = (0..2_000)
-            .filter(|_| policy.select_action(&q, &mut r) != 1)
-            .count();
-        // Uniform over 3 actions means ~2/3 of selections are non-greedy.
-        assert!(non_greedy > 1_000, "non-greedy only {non_greedy}/2000");
-    }
-
-    #[test]
-    fn epsilon_intermediate_mixes() {
-        let policy = EpsilonGreedyPolicy::new(0.5);
-        let q = [0.0, 10.0];
-        let mut r = rng();
-        let greedy = (0..4_000)
-            .filter(|_| policy.select_action(&q, &mut r) == 1)
-            .count();
-        // Expected greedy fraction: 0.5 + 0.5 * 0.5 = 0.75.
-        let frac = greedy as f64 / 4_000.0;
-        assert!((frac - 0.75).abs() < 0.05, "greedy fraction {frac}");
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon")]
-    fn epsilon_out_of_range_panics() {
-        let _ = EpsilonGreedyPolicy::new(1.2);
-    }
-
-    #[test]
     fn names_are_distinct() {
-        let names = [
-            GreedyPolicy.name(),
-            UniformRandomPolicy.name(),
-            EpsilonGreedyPolicy::default().name(),
-        ];
-        assert_eq!(
-            names.iter().collect::<std::collections::HashSet<_>>().len(),
-            3
-        );
+        assert_ne!(GreedyPolicy.name(), BoltzmannPolicy::new(1.0).name());
     }
 
     #[test]

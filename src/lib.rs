@@ -4,7 +4,6 @@
 
 pub use collabsim;
 pub use collabsim_cli as cli;
-pub use collabsim_gametheory as gametheory;
 pub use collabsim_netsim as netsim;
 pub use collabsim_reputation as reputation;
 pub use collabsim_rl as rl;

@@ -1,8 +1,8 @@
 //! Property-based integration tests over the incentive scheme's invariants,
-//! spanning the reputation, netsim, rl and gametheory crates.
+//! spanning the reputation, netsim, rl and core crates.
 
 use collabsim_workspace::collabsim::action::CollabAction;
-use collabsim_workspace::gametheory::behavior::{BehaviorMix, BehaviorType};
+use collabsim_workspace::collabsim::behavior::{BehaviorMix, BehaviorType};
 use collabsim_workspace::netsim::bandwidth::{
     AllocationPolicy, BandwidthAllocator, DownloadRequest,
 };

@@ -8,7 +8,6 @@ use collabsim_workspace::netsim::bandwidth::{
     AllocationPolicy, BandwidthAllocator, DownloadRequest,
 };
 use collabsim_workspace::netsim::dht::{Dht, DhtKey};
-use collabsim_workspace::netsim::overlay::{Overlay, Topology};
 use collabsim_workspace::netsim::peer::PeerId;
 use collabsim_workspace::netsim::storage::ArticleStore;
 use collabsim_workspace::reputation::attack::collusion_clique;
@@ -66,23 +65,6 @@ fn dht_placement_keeps_articles_available_after_churn() {
         })
         .count();
     assert!(found * 10 >= ids.len() * 9);
-}
-
-#[test]
-fn overlay_topologies_connect_the_population() {
-    let mut rng = StdRng::seed_from_u64(17);
-    for topology in [
-        Topology::FullMesh,
-        Topology::Random { p: 0.2 },
-        Topology::SmallWorld { k: 3, beta: 0.1 },
-    ] {
-        let overlay = Overlay::build(64, topology, &mut rng);
-        assert!(
-            overlay.is_connected() || matches!(topology, Topology::Random { .. }),
-            "{topology:?} should normally be connected"
-        );
-        assert!(overlay.mean_degree() > 1.0);
-    }
 }
 
 #[test]
